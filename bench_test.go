@@ -89,6 +89,7 @@ func BenchmarkIncrementalStep(b *testing.B) {
 func BenchmarkSerialForce(b *testing.B) {
 	s := benchSet(b, 10000)
 	tr := tree.Build(s.Particles, tree.Options{LeafCap: 8, Domain: s.Domain})
+	flat := tree.Flatten(tr, nil)
 	for _, alpha := range []float64{0.5, 0.67, 1.0} {
 		// Full sweep over all particles (AccelAll runs multi-core; the
 		// per-particle AccelAt kernel is covered by the sweep).
@@ -96,6 +97,13 @@ func BenchmarkSerialForce(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tr.AccelAll(s.Particles, alpha, 0.01)
+			}
+		})
+		// The flat kernel every step path runs, on the same tree.
+		b.Run(fmt.Sprintf("flat/alpha=%.2f", alpha), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				flat.AccelAll(s.Particles, alpha, 0.01)
 			}
 		})
 	}

@@ -14,10 +14,12 @@ import (
 // grafted peer sections first, then a DFS linearization of the rank's
 // replicated tree (top nodes, local subtrees inlined, remote branch
 // cells carrying graft references). Traversal sweeps the main region
-// with the same accumulator-stack discipline as tree.FlatTree, deferring
-// remote branches; deferred sections are then replayed and folded in
-// defer order — exactly the slot order function shipping folds its
-// replies in.
+// one particle at a time, with the per-particle accumulator stack that
+// tree.FlatTree's group walk keeps for each member of a group, and still
+// takes the sqrt-and-divide MAC (tree.FlatTree compares against exact
+// per-node thresholds instead), deferring remote branches; deferred
+// sections are then replayed and folded in defer order — exactly the
+// slot order function shipping folds its replies in.
 //
 // Node kinds. Top and branch summaries have no owner-side tree node, so
 // accepted interactions there charge the traversing particle's
@@ -337,8 +339,8 @@ func (f *Flat) merge(workers int) tree.Stats {
 }
 
 // leafAccel folds cols[lo:hi) from a zero accumulator in column order —
-// the same arithmetic, including the signed-zero-preserving explicit add
-// of a zero contribution, as tree.FlatTree's fused kernel.
+// the same arithmetic, including the explicit add of a zero
+// contribution, as tree.FlatTree's per-particle leaf sums.
 func (f *Flat) leafAccel(lo, hi, self int32, pos vec.V3, e2 float64, s *tree.Stats) vec.V3 {
 	ids, px, py, pz, ms := f.cols.id, f.cols.px, f.cols.py, f.cols.pz, f.cols.pm
 	var ax, ay, az float64

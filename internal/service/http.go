@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -273,7 +274,7 @@ func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("stride must be a positive integer"))
 		return
 	}
-	rd, err := frames.Open(path)
+	rd, err := s.openChain(r.Context(), id, path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			writeErr(w, http.StatusNotFound, errors.New("service: job has no frames"))
@@ -388,6 +389,32 @@ func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 			// Corrupt mid-chain record: the valid prefix has been served;
 			// there is nothing safe after it.
 			return
+		}
+	}
+}
+
+// openChain opens a job's frame chain for replay. A job that records
+// frames but has not yet created its chain (still queued, or between
+// creating the file and writing its header) is waited for rather than
+// reported as having none, so a tail-follow may start as soon as the job
+// is submitted; the wait ends with the job or the request.
+func (s *Service) openChain(ctx context.Context, id, path string) (*frames.Reader, error) {
+	for {
+		rd, err := frames.Open(path)
+		if err == nil || !(errors.Is(err, fs.ErrNotExist) || errors.Is(err, frames.ErrCorrupt)) {
+			return rd, err
+		}
+		st, gerr := s.Get(id)
+		if gerr != nil || !s.framesEnabled(st.Spec) {
+			return nil, err
+		}
+		if st.State.Terminal() {
+			return frames.Open(path) // the chain, if any, is complete now
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(20 * time.Millisecond):
 		}
 	}
 }

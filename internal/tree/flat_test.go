@@ -1,7 +1,9 @@
 package tree
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -17,25 +19,26 @@ import (
 
 func flatVsPointerAccel(t *testing.T, ps []dist.Particle, domain vec.Box, alpha, eps float64, leafCap int) {
 	t.Helper()
+	flatVsPointerQuery(t, ps, ps, domain, alpha, eps, leafCap)
+}
+
+// flatVsPointerQuery builds both trees from ps and evaluates query
+// against them, which need not be the trees' own particles.
+func flatVsPointerQuery(t *testing.T, ps, query []dist.Particle, domain vec.Box, alpha, eps float64, leafCap int) []vec.V3 {
+	t.Helper()
 	ptrTree := BuildKeyed(ps, domain, leafCap)
-	wantAcc, wantStats := ptrTree.AccelAll(ps, alpha, eps)
+	wantAcc, wantStats := ptrTree.AccelAll(query, alpha, eps)
 	wantLoads := collectLoads(ptrTree)
 
 	flatTree := BuildKeyed(ps, domain, leafCap)
 	f := Flatten(flatTree, nil)
-	gotAcc, gotStats := f.AccelAll(ps, alpha, eps)
+	gotAcc, gotStats := f.AccelAll(query, alpha, eps)
 	gotLoads := collectLoads(flatTree)
 
 	if gotStats != wantStats {
 		t.Fatalf("stats differ: flat %+v pointer %+v", gotStats, wantStats)
 	}
-	for i := range wantAcc {
-		if math.Float64bits(gotAcc[i].X) != math.Float64bits(wantAcc[i].X) ||
-			math.Float64bits(gotAcc[i].Y) != math.Float64bits(wantAcc[i].Y) ||
-			math.Float64bits(gotAcc[i].Z) != math.Float64bits(wantAcc[i].Z) {
-			t.Fatalf("accel %d differs: flat %v pointer %v", i, gotAcc[i], wantAcc[i])
-		}
-	}
+	sameAccels(t, gotAcc, wantAcc, "flat vs pointer")
 	if len(gotLoads) != len(wantLoads) {
 		t.Fatalf("load vector length: %d vs %d", len(gotLoads), len(wantLoads))
 	}
@@ -44,10 +47,27 @@ func flatVsPointerAccel(t *testing.T, ps []dist.Particle, domain vec.Box, alpha,
 			t.Fatalf("load %d differs: flat %d pointer %d", i, gotLoads[i], wantLoads[i])
 		}
 	}
+	return gotAcc
+}
+
+// sameAccels fails unless got and want are equal bit for bit, so +0 and
+// −0 count as different.
+func sameAccels(t *testing.T, got, want []vec.V3, what string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d accelerations, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i].X) != math.Float64bits(want[i].X) ||
+			math.Float64bits(got[i].Y) != math.Float64bits(want[i].Y) ||
+			math.Float64bits(got[i].Z) != math.Float64bits(want[i].Z) {
+			t.Fatalf("%s: accel %d differs: %v vs %v", what, i, got[i], want[i])
+		}
+	}
 }
 
 func TestFlatAccelMatchesPointer(t *testing.T) {
-	for _, name := range []string{"plummer", "g", "uniform"} {
+	for _, name := range []string{"plummer", "g", "uniform", "s_1g_a"} {
 		t.Run(name, func(t *testing.T) {
 			s := dist.MustNamed(name, 3000, 61)
 			for _, alpha := range []float64{0.3, 0.67, 1.2} {
@@ -55,6 +75,58 @@ func TestFlatAccelMatchesPointer(t *testing.T) {
 			}
 		})
 	}
+	s := dist.MustNamed("plummer", 3000, 61)
+	t.Run("shuffled", func(t *testing.T) {
+		// The sweep runs in the tree's leaf order; results must still land
+		// at the query's own indices.
+		shuffled := append([]dist.Particle(nil), s.Particles...)
+		rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		if Flatten(BuildKeyed(s.Particles, s.Domain, 8), nil).sweepOrder(shuffled) == nil {
+			t.Fatal("a permutation of the tree's particles should sweep in leaf order")
+		}
+		got := flatVsPointerQuery(t, s.Particles, shuffled, s.Domain, 0.67, 0.01, 8)
+		inOrder := flatVsPointerQuery(t, s.Particles, s.Particles, s.Domain, 0.67, 0.01, 8)
+		back := make([]vec.V3, len(got))
+		for i, p := range shuffled {
+			back[p.ID] = got[i]
+		}
+		sameAccels(t, back, inOrder, "shuffled query realigned")
+	})
+	t.Run("foreign-query", func(t *testing.T) {
+		// Queries that are not the tree's particle set take the input
+		// order: a subset, field points, and a same-size set whose IDs
+		// do not match the tree's.
+		subset := s.Particles[:1000]
+		flatVsPointerQuery(t, s.Particles, subset, s.Domain, 0.67, 0.01, 8)
+		field := dist.MustNamed("uniform", 500, 9).Particles
+		for i := range field {
+			field[i].ID = -1
+		}
+		flatVsPointerQuery(t, s.Particles, field, s.Domain, 0.67, 0.01, 8)
+		renamed := append([]dist.Particle(nil), s.Particles...)
+		for i := range renamed {
+			renamed[i].ID += 7
+		}
+		flatVsPointerQuery(t, s.Particles, renamed, s.Domain, 0.67, 0.01, 8)
+		f := Flatten(BuildKeyed(s.Particles, s.Domain, 8), nil)
+		for _, q := range [][]dist.Particle{subset, field, renamed} {
+			if f.sweepOrder(q) != nil {
+				t.Fatal("a query that is not the tree's particle set should sweep in input order")
+			}
+		}
+	})
+	t.Run("coincident-group", func(t *testing.T) {
+		// A leaf group of coincident particles with zero softening: every
+		// pair inside it takes the r2 == 0 signed-zero path.
+		ps := append([]dist.Particle(nil), dist.MustNamed("plummer", 400, 3).Particles...)
+		at := ps[0].Pos
+		for i := 0; i < 12; i++ {
+			ps = append(ps, dist.Particle{ID: len(ps), Mass: 0.01, Pos: at})
+		}
+		flatVsPointerAccel(t, ps, dist.MustNamed("plummer", 400, 3).Domain, 0.67, 0, 8)
+	})
 }
 
 func TestFlatAccelSmallAndDegenerate(t *testing.T) {
@@ -91,6 +163,18 @@ func TestFlatAccelRootPC(t *testing.T) {
 	}
 	ps = append(ps, dist.Particle{ID: 30, Mass: 1, Pos: vec.V3{X: 95, Y: 95, Z: 95}})
 	flatVsPointerAccel(t, ps, domain, 5.0, 0.01, 4)
+
+	// Signed zeros: with the cluster on the X = 0 plane and the probe a
+	// subnormal away from it, the probe's X term underflows to −0, which
+	// the root's cluster term must return as is, not added onto a +0 sum.
+	for i := 0; i < 30; i++ {
+		ps[i].Pos.X = 0
+	}
+	ps[30].Pos = vec.V3{X: 1e-320, Y: 95, Z: 95}
+	got := flatVsPointerQuery(t, ps, ps, domain, 5.0, 0.01, 4)
+	if !math.Signbit(got[30].X) {
+		t.Fatalf("probe's X acceleration %v lost its sign", got[30].X)
+	}
 }
 
 func TestFlatPotentialMatchesPointer(t *testing.T) {
@@ -147,11 +231,7 @@ func TestFlatParallelMatchesSerial(t *testing.T) {
 	if gotStats != wantStats {
 		t.Fatalf("stats differ: parallel %+v serial %+v", gotStats, wantStats)
 	}
-	for i := range wantAcc {
-		if gotAcc[i] != wantAcc[i] {
-			t.Fatalf("accel %d differs: parallel %v serial %v", i, gotAcc[i], wantAcc[i])
-		}
-	}
+	sameAccels(t, gotAcc, wantAcc, "parallel vs serial")
 	for i := range wantLoads {
 		if gotLoads[i] != wantLoads[i] {
 			t.Fatalf("load %d differs: parallel %d serial %d", i, gotLoads[i], wantLoads[i])
@@ -161,7 +241,8 @@ func TestFlatParallelMatchesSerial(t *testing.T) {
 
 func TestFlattenReuse(t *testing.T) {
 	// Reusing a FlatTree across rebuilds (the per-step pattern in
-	// SerialSim) must give the same answers as a fresh flatten.
+	// SerialSim) must give the same answers as a fresh flatten, and the
+	// MAC thresholds it caches must follow both Flatten and α.
 	s := dist.MustNamed("g", 1500, 7)
 	tr := BuildKeyed(s.Particles, s.Domain, 8)
 	f := Flatten(tr, nil)
@@ -170,16 +251,78 @@ func TestFlattenReuse(t *testing.T) {
 	small := s.Particles[:200]
 	tr2 := BuildKeyed(small, s.Domain, 8)
 	f = Flatten(tr2, f) // shrinking reuse
-	gotAcc, gotStats := f.AccelAll(small, 0.67, 0.01)
-
-	ref := BuildKeyed(small, s.Domain, 8)
-	wantAcc, wantStats := Flatten(ref, nil).AccelAll(small, 0.67, 0.01)
-	if gotStats != wantStats {
-		t.Fatalf("stats differ after reuse: %+v vs %+v", gotStats, wantStats)
+	for _, alpha := range []float64{0.67, 1.0, 0.67} {
+		gotAcc, gotStats := f.AccelAll(small, alpha, 0.01)
+		ref := BuildKeyed(small, s.Domain, 8)
+		wantAcc, wantStats := Flatten(ref, nil).AccelAll(small, alpha, 0.01)
+		if gotStats != wantStats {
+			t.Fatalf("alpha %g: stats differ after reuse: %+v vs %+v", alpha, gotStats, wantStats)
+		}
+		sameAccels(t, gotAcc, wantAcc, fmt.Sprintf("alpha %g after reuse", alpha))
 	}
-	for i := range wantAcc {
-		if gotAcc[i] != wantAcc[i] {
-			t.Fatalf("accel %d differs after reuse", i)
+}
+
+// macValues are the n2, side and α values the threshold must handle:
+// zeros, subnormals, the ordinary range, the extremes and the non-finite.
+var macValues = []float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e-310, 2.2250738585072014e-308,
+	1e-160, 1e-100, 1e-3, 0.3, 0.67, 1, 1.2, 5, 3.7e5, 1e100, 1e160, 1e200,
+	math.MaxFloat64, math.Inf(1), math.NaN(), -1, -1e-300, math.Inf(-1),
+}
+
+// checkMACThreshold asserts n2 >= thr ⇔ the sqrt-and-divide MAC for n2,
+// for the threshold itself and its neighbours too.
+func checkMACThreshold(t *testing.T, n2, side, alpha float64) {
+	t.Helper()
+	thr := macThreshold(side, alpha)
+	probe := []float64{n2, thr, math.Nextafter(thr, math.Inf(-1)), math.Nextafter(thr, math.Inf(1))}
+	for _, x := range probe {
+		if got, want := x >= thr, macAccepts(x, side, alpha); got != want {
+			t.Fatalf("side %g alpha %g: n2 %g >= thr %g is %v, sqrt MAC says %v", side, alpha, x, thr, got, want)
 		}
 	}
+}
+
+func TestFlatMACThreshold(t *testing.T) {
+	for _, side := range macValues {
+		if side < 0 {
+			continue // a box side is never negative
+		}
+		for _, alpha := range macValues {
+			for _, n2 := range macValues {
+				checkMACThreshold(t, n2, side, alpha)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 20000; i++ {
+		side := math.Ldexp(rng.Float64(), rng.Intn(40)-20)
+		alpha := math.Ldexp(rng.Float64(), rng.Intn(8)-4)
+		n2 := math.Ldexp(rng.Float64(), rng.Intn(80)-40)
+		checkMACThreshold(t, n2, side, alpha)
+	}
+	// macAccepts is Accepts, bit for bit, on real nodes and points.
+	s := dist.MustNamed("plummer", 2000, 4)
+	tr := BuildKeyed(s.Particles, s.Domain, 8)
+	probes := dist.MustNamed("uniform", 200, 5).Particles
+	tr.Walk(func(n *Node) bool {
+		for _, p := range probes {
+			for _, alpha := range []float64{0.3, 0.67, 1.2} {
+				if Accepts(n, p.Pos, alpha) != macAccepts(p.Pos.Dist2(n.COM), n.Box.LongestSide(), alpha) {
+					t.Fatalf("macAccepts differs from Accepts at %v, alpha %g", p.Pos, alpha)
+				}
+			}
+		}
+		return true
+	})
+}
+
+func FuzzFlatMACThreshold(f *testing.F) {
+	for _, v := range macValues {
+		f.Add(v, math.Abs(v), 0.67)
+		f.Add(1.0, math.Abs(v), v)
+	}
+	f.Fuzz(func(t *testing.T, n2, side, alpha float64) {
+		checkMACThreshold(t, n2, math.Abs(side), alpha)
+	})
 }
